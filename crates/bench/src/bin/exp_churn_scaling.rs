@@ -40,7 +40,7 @@ use netsim::synth::{synth, SynthFamily};
 use netsim::time::TimeDelta;
 use netsim::{Engine, Sim};
 use nws::{NwsMsg, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{f, BenchArgs, Table};
 
 /// Fixed seed: the run is deterministic end to end.
 const SEED: u64 = 2026;
@@ -306,13 +306,7 @@ fn to_json(rows: &[Row], smoke: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
+    let BenchArgs { smoke, out_path, .. } = BenchArgs::parse("BENCH_churn.json");
     let tiers: &[usize] = if smoke { &[100] } else { &[100, 500, 1000, 2000] };
 
     println!("=== churn scaling: mutate -> detect -> remap -> repair -> reconfigure ===\n");

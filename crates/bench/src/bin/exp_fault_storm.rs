@@ -36,7 +36,7 @@ use netsim::units::Bandwidth;
 use netsim::Engine;
 use nws::supervisor::SupervisorConfig;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{availability, f, BenchArgs, Table, GAP_FACTOR};
 
 /// Fixed seed: the run is deterministic end to end.
 const SEED: u64 = 2026;
@@ -44,9 +44,6 @@ const HOSTS: usize = 6;
 const WARMUP_S: f64 = 60.0;
 const STORM_S: f64 = 480.0;
 const COOLDOWN_S: f64 = 60.0;
-/// A gap is an outage once it exceeds this multiple of the series' own
-/// mean cadence (clique rotations make short gaps routine).
-const GAP_FACTOR: f64 = 4.0;
 
 struct Row {
     loss_pct: f64,
@@ -210,32 +207,6 @@ fn run_storm(loss_pct: f64) -> RunOutcome {
     }
 }
 
-/// Mean over series of measured coverage: the fraction of the series'
-/// span not spent in gaps beyond `GAP_FACTOR ×` its own mean cadence.
-fn availability(series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (_, pts) in series {
-        if pts.len() < 3 {
-            continue;
-        }
-        let span = pts[pts.len() - 1].0 - pts[0].0;
-        if span <= 0.0 {
-            continue;
-        }
-        let cadence = span / (pts.len() - 1) as f64;
-        let allowed = GAP_FACTOR * cadence;
-        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
-        sum += 1.0 - lost / span;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Median seconds from a sensor crash to that host's next stored
 /// measurement (over all crashes that had a next measurement).
 fn median_recovery(crashes: &[(String, f64)], series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
@@ -345,13 +316,7 @@ fn to_json(rows: &[Row], smoke: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
+    let BenchArgs { smoke, out_path, .. } = BenchArgs::parse("BENCH_faults.json");
     let tiers: &[f64] = if smoke { &[0.0, 5.0] } else { &[0.0, 1.0, 5.0, 15.0] };
 
     println!("=== fault storms: loss tiers x crashes under supervision ===\n");

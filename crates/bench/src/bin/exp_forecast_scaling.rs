@@ -27,7 +27,7 @@ use netsim::prelude::*;
 use netsim::synth::{synth, SynthFamily};
 use nws::msg::NwsMsg;
 use nws::{Forecast, ForecasterBattery, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{f, BenchArgs, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -345,13 +345,7 @@ fn to_json(storm: &[StormRow], battery: &[BatteryRow], smoke: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_forecaster.json".to_string());
+    let BenchArgs { smoke, out_path, .. } = BenchArgs::parse("BENCH_forecaster.json");
 
     println!("=== forecaster scaling: incremental query engine vs replay ===\n");
 

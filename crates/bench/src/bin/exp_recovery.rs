@@ -33,7 +33,7 @@ use netsim::units::Bandwidth;
 use netsim::Engine;
 use nws::supervisor::SupervisorConfig;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{availability, f, BenchArgs, Table, GAP_FACTOR};
 
 const SEED: u64 = 2027;
 const HOSTS: usize = 6;
@@ -41,7 +41,6 @@ const WARMUP_S: f64 = 60.0;
 const WINDOW_S: f64 = 300.0;
 const COOLDOWN_S: f64 = 60.0;
 const LOSS_PCT: f64 = 5.0;
-const GAP_FACTOR: f64 = 4.0;
 
 struct Row {
     crashes: usize,
@@ -175,32 +174,6 @@ fn run_tier_once(crashes: usize) -> RunOutcome {
     }
 }
 
-/// Mean over series of measured coverage: the fraction of the series'
-/// span not spent in gaps beyond `GAP_FACTOR ×` its own mean cadence.
-fn availability(series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (_, pts) in series {
-        if pts.len() < 3 {
-            continue;
-        }
-        let span = pts[pts.len() - 1].0 - pts[0].0;
-        if span <= 0.0 {
-            continue;
-        }
-        let cadence = span / (pts.len() - 1) as f64;
-        let allowed = GAP_FACTOR * cadence;
-        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
-        sum += 1.0 - lost / span;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Median seconds from a memory crash to the first measurement the
 /// rebuilt server stored (first point anywhere with `t >` the crash).
 fn median_recovery(crash_times: &[f64], series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
@@ -293,13 +266,7 @@ fn to_json(rows: &[Row], smoke: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_recovery.json".to_string());
+    let BenchArgs { smoke, out_path, .. } = BenchArgs::parse("BENCH_recovery.json");
     let tiers: &[usize] = if smoke { &[0, 3] } else { &[0, 1, 3, 6] };
 
     println!("=== durable state plane: memory host crashes x disk recovery ===\n");

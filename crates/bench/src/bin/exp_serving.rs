@@ -20,12 +20,14 @@
 //! Run: `cargo run --release -p nws-bench --bin exp_serving
 //! [--smoke] [out.json]`. `--smoke` is the CI configuration.
 
+use std::fmt::Write;
 use std::time::Instant;
 
+use netsim::disk::fnv1a64;
 use nws::serve::{MetricsSnapshot, ServingPlane};
 use nws::shard::ShardMap;
 use nws::{Forecast, Resource, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{f, BenchArgs, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,16 +102,11 @@ fn build_plane(shards: usize, keys: &[SeriesKey], points: usize) -> ServingPlane
 /// the shortest round-trip representation, so the fingerprint is
 /// bit-faithful to the forecast values.
 fn fingerprint(answers: &[Vec<(SeriesKey, Option<Forecast>)>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for batch in answers {
-        for (key, forecast) in batch {
-            for b in format!("{key}={forecast:?};").bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+    let mut rendered = String::new();
+    for (key, forecast) in answers.iter().flatten() {
+        let _ = write!(rendered, "{key}={forecast:?};");
     }
-    h
+    fnv1a64(rendered.as_bytes())
 }
 
 /// Round-robin batch composition for one wave: deterministic, covers the
@@ -314,13 +311,7 @@ fn to_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
+    let BenchArgs { smoke, out_path, .. } = BenchArgs::parse("BENCH_serving.json");
     let cfg = if smoke { Config::smoke() } else { Config::full() };
     let keys = series_keys(cfg.series);
 

@@ -5,6 +5,7 @@ use envmap::{merge_runs, EnvConfig, EnvMapper, EnvRun, EnvView, HostInput};
 use gridml::merge::GatewayAlias;
 use netsim::scenarios::{ens_lyon, Calibration, EnsLyon};
 use netsim::Sim;
+use nws::SeriesKey;
 
 /// The six public hosts of the outside ENV run (paper §4.2).
 pub fn outside_inputs() -> Vec<HostInput> {
@@ -119,6 +120,64 @@ impl Table {
 /// Format a float with fixed decimals for table cells.
 pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
+}
+
+/// The command line shared by the bins that write a `BENCH_*.json`:
+/// `[--smoke] [--<flag> ...] [out.json]`. `--smoke` selects the CI
+/// configuration; the first argument that is not a flag overrides the
+/// output path.
+pub struct BenchArgs {
+    pub smoke: bool,
+    pub out_path: String,
+    args: Vec<String>,
+}
+
+impl BenchArgs {
+    pub fn parse(default_out: &str) -> BenchArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let smoke = args.iter().any(|a| a == "--smoke");
+        let out_path = args
+            .iter()
+            .find(|a| !a.starts_with("--"))
+            .cloned()
+            .unwrap_or_else(|| default_out.to_string());
+        BenchArgs { smoke, out_path, args }
+    }
+
+    /// Whether a bin-specific flag (e.g. `--dry-run`) was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.args.iter().any(|a| a == name)
+    }
+}
+
+/// A gap is an outage once it exceeds this multiple of the series' own
+/// mean cadence (clique rotations make short gaps routine).
+pub const GAP_FACTOR: f64 = 4.0;
+
+/// Mean over series of measured coverage: the fraction of the series'
+/// span not spent in gaps beyond `GAP_FACTOR ×` its own mean cadence.
+pub fn availability(series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for (_, pts) in series {
+        if pts.len() < 3 {
+            continue;
+        }
+        let span = pts[pts.len() - 1].0 - pts[0].0;
+        if span <= 0.0 {
+            continue;
+        }
+        let cadence = span / (pts.len() - 1) as f64;
+        let allowed = GAP_FACTOR * cadence;
+        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
+        sum += 1.0 - lost / span;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
 }
 
 #[cfg(test)]

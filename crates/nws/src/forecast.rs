@@ -907,6 +907,60 @@ impl ForecasterBattery {
     }
 }
 
+/// One series' forecasting position: the battery that has observed every
+/// point taken so far and the newest observed timestamp (the delta-fetch
+/// watermark). The in-sim forecaster, the serving plane and the forecast
+/// log all keep their per-series state as cursors, so the advance and
+/// rewind rules live here once. The fields are public so snapshot decode
+/// can rebuild a cursor from its parts and test oracles can drive their
+/// own batteries without the rules they check.
+pub struct SeriesCursor {
+    pub battery: ForecasterBattery,
+    pub last_t: f64,
+}
+
+impl Default for SeriesCursor {
+    /// Cold: a classic battery that has seen nothing, watermark at −∞.
+    fn default() -> Self {
+        SeriesCursor { battery: ForecasterBattery::classic(), last_t: f64::NEG_INFINITY }
+    }
+}
+
+impl SeriesCursor {
+    /// Observe `(t, v)` only if `t` advances the watermark; returns whether
+    /// it did. A duplicate or reordered point is neither observed nor
+    /// reported, so only advancing points are logged, and replaying the
+    /// log through this same rule reproduces the cursor exactly.
+    pub fn observe(&mut self, t: f64, v: f64) -> bool {
+        if t > self.last_t {
+            self.last_t = t;
+            self.battery.observe(v);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Reset to cold when the memory's newest point `latest` is behind the
+    /// watermark: the memory was restored to an older state (a crash lost
+    /// its unsynced tail), so the battery has consumed points the store no
+    /// longer remembers. Returns whether it rewound. A rewind is followed
+    /// by a full re-fetch, which terminates: after the reset `last_t` is
+    /// −∞ and can never again exceed the same `latest`.
+    pub fn rewind(&mut self, latest: f64) -> bool {
+        if self.last_t > latest {
+            *self = SeriesCursor::default();
+            true
+        } else {
+            false
+        }
+    }
+
+    pub fn forecast(&self) -> Option<Forecast> {
+        self.battery.forecast()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1306,5 +1360,42 @@ mod tests {
                 "predictor state diverged at cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn cursor_skips_points_that_do_not_advance() {
+        let mut c = SeriesCursor::default();
+        assert!(c.observe(1.0, 10.0));
+        assert!(c.observe(2.0, 12.0));
+        // A duplicated reply repeats t = 2; a reordered one delivers t = 1
+        // late. Neither is observed nor reported for logging.
+        assert!(!c.observe(2.0, 99.0));
+        assert!(!c.observe(1.0, 99.0));
+        assert_eq!(c.last_t, 2.0);
+        assert_eq!(c.battery.samples(), 2);
+        let mut oracle = ForecasterBattery::classic();
+        oracle.observe_all([10.0, 12.0]);
+        assert_eq!(c.forecast(), oracle.forecast());
+    }
+
+    #[test]
+    fn cursor_rewinds_once_then_advances_on_the_same_latest() {
+        let mut c = SeriesCursor::default();
+        for t in 1..=10 {
+            c.observe(t as f64, 50.0);
+        }
+        // The memory came back holding only up to t = 3.
+        assert!(!c.rewind(10.0), "a memory that is not behind is no rewind");
+        assert!(c.rewind(3.0));
+        assert_eq!(c.last_t, f64::NEG_INFINITY);
+        assert!(c.forecast().is_none(), "a rewound battery starts cold");
+        // The full re-fetch's reply reports the same `latest`: the cursor
+        // must take its points instead of rewinding again.
+        assert!(!c.rewind(3.0));
+        for t in 1..=3 {
+            assert!(c.observe(t as f64, 40.0));
+        }
+        assert!(!c.rewind(3.0));
+        assert_eq!((c.last_t, c.battery.samples()), (3.0, 3));
     }
 }

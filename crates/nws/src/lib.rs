@@ -41,9 +41,9 @@ pub mod system;
 pub mod wal;
 
 pub use clique::CliqueRetarget;
-pub use forecast::{Forecast, ForecasterBattery};
+pub use forecast::{Forecast, ForecasterBattery, SeriesCursor};
 pub use msg::{NwsMsg, Resource, SeriesKey};
-pub use persist::{ForecastLog, MemoryLog, RecoveredSeries};
+pub use persist::{ForecastLog, MemoryLog};
 pub use series::{Series, SeriesPoint};
 pub use serve::{MetricsSnapshot, ServingPlane, ShardSnapshot};
 pub use shard::ShardMap;

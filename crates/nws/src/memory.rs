@@ -1,7 +1,7 @@
 //! The NWS memory server: "store the results on disk for further use"
 //! (paper §2.1).
 //!
-//! Sensors `Store` measurements here; forecasters `Fetch` histories. On
+//! Sensors `Store` measurements here; forecasters fetch histories. On
 //! the first store of a series the memory registers itself as that
 //! series' home with the name server, which is how the forecaster's
 //! directory lookup (step 2 of §2.1) finds the right memory.
@@ -273,25 +273,6 @@ impl Process<NwsMsg> for MemoryServer {
                 let size = pong.wire_size();
                 let _ = ctx.send(from, size, pong);
             }
-            NwsMsg::Fetch { key } => {
-                let (points, latest) = {
-                    let mut st = self.store.borrow_mut();
-                    let points = st.series.get(&key).map(Series::to_pairs).unwrap_or_default();
-                    let latest = st
-                        .series
-                        .get(&key)
-                        .and_then(Series::last)
-                        .map_or(f64::NEG_INFINITY, |p| p.t);
-                    st.apply_fetch(points.len() as u64);
-                    (points, latest)
-                };
-                if let Some(log) = &mut self.log {
-                    log.log_fetch(points.len() as u64);
-                }
-                let reply = NwsMsg::FetchReply { key, points, latest };
-                let size = reply.wire_size();
-                let _ = ctx.send(from, size, reply);
-            }
             NwsMsg::FetchSince { key, after } => {
                 let (points, latest) = {
                     let mut st = self.store.borrow_mut();
@@ -366,7 +347,7 @@ mod tests {
                 let size = m.wire_size();
                 ctx.send(self.memory, size, m).unwrap();
             }
-            let f = NwsMsg::Fetch { key };
+            let f = NwsMsg::FetchSince { key, after: f64::NEG_INFINITY };
             let size = f.wire_size();
             ctx.send(self.memory, size, f).unwrap();
         }
@@ -413,7 +394,10 @@ mod tests {
         }
         impl Process<NwsMsg> for FetchOnly {
             fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let f = NwsMsg::Fetch { key: SeriesKey::host(Resource::CpuLoad, "nope") };
+                let f = NwsMsg::FetchSince {
+                    key: SeriesKey::host(Resource::CpuLoad, "nope"),
+                    after: f64::NEG_INFINITY,
+                };
                 let size = f.wire_size();
                 ctx.send(self.memory, size, f).unwrap();
             }

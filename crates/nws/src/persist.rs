@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use netsim::disk::DiskHandle;
 use netsim::engine::ProcessId;
 
-use crate::forecast::ForecasterBattery;
+use crate::forecast::{ForecasterBattery, SeriesCursor};
 use crate::memory::{MemoryStore, SeenSeqs};
 use crate::msg::{Resource, SeriesKey};
 use crate::series::Series;
@@ -414,15 +414,6 @@ fn decode_battery(r: &mut ByteReader<'_>) -> Option<ForecasterBattery> {
     Some(bat)
 }
 
-/// One recovered forecaster series: the battery and the delta-fetch
-/// watermark. The memory pid is deliberately *not* part of durable state
-/// — pids do not survive restarts; the recovered forecaster re-resolves
-/// its memory through the name server (`WhereIs`) on the next query.
-pub struct RecoveredSeries {
-    pub battery: ForecasterBattery,
-    pub last_t: f64,
-}
-
 /// Durable state of one forecaster.
 #[derive(Debug)]
 pub struct ForecastLog {
@@ -430,11 +421,15 @@ pub struct ForecastLog {
 }
 
 impl ForecastLog {
-    /// Rebuild every series' battery + watermark from `disk`. Same shape
-    /// as [`MemoryLog::recover`], including the trailing compaction.
-    pub fn recover(disk: DiskHandle, name: &str) -> (BTreeMap<SeriesKey, RecoveredSeries>, Self) {
+    /// Rebuild every series' cursor (battery + watermark) from `disk`.
+    /// Same shape as [`MemoryLog::recover`], including the trailing
+    /// compaction. The memory pid is deliberately *not* part of durable
+    /// state: pids do not survive restarts, so the recovered forecaster
+    /// re-resolves each series' memory through the name server (`WhereIs`)
+    /// on its next query.
+    pub fn recover(disk: DiskHandle, name: &str) -> (BTreeMap<SeriesKey, SeriesCursor>, Self) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let mut state: BTreeMap<SeriesKey, RecoveredSeries> = BTreeMap::new();
+        let mut state: BTreeMap<SeriesKey, SeriesCursor> = BTreeMap::new();
         let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         if let Some((_, body)) = snapshot {
             let mut r = ByteReader::new(&body);
@@ -445,7 +440,7 @@ impl ForecastLog {
                     else {
                         break;
                     };
-                    state.insert(key, RecoveredSeries { battery, last_t });
+                    state.insert(key, SeriesCursor { battery, last_t });
                 }
             }
         }
@@ -455,7 +450,7 @@ impl ForecastLog {
             }
         }
         let mut log = ForecastLog { files };
-        log.compact(state.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
+        log.compact(&state);
         (state, log)
     }
 
@@ -490,15 +485,15 @@ impl ForecastLog {
     /// Snapshot the full per-series state and truncate the WAL.
     pub fn compact<'a, I>(&mut self, series: I)
     where
-        I: Iterator<Item = (&'a SeriesKey, &'a ForecasterBattery, f64)>,
+        I: IntoIterator<Item = (&'a SeriesKey, &'a SeriesCursor)>,
     {
         let mut body = Vec::new();
-        let items: Vec<_> = series.collect();
+        let items: Vec<_> = series.into_iter().collect();
         put_u32(&mut body, items.len() as u32);
-        for (key, battery, last_t) in items {
+        for (key, cursor) in items {
             put_key(&mut body, key);
-            put_f64(&mut body, last_t);
-            encode_battery(&mut body, battery);
+            put_f64(&mut body, cursor.last_t);
+            encode_battery(&mut body, &cursor.battery);
         }
         self.files.write_snapshot(&body);
         self.files.publish_snapshot();
@@ -510,7 +505,7 @@ impl ForecastLog {
     }
 }
 
-fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, RecoveredSeries>, payload: &[u8]) {
+fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, SeriesCursor>, payload: &[u8]) {
     let mut r = ByteReader::new(payload);
     let Some(tag) = r.u8() else { return };
     match tag {
@@ -518,32 +513,17 @@ fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, RecoveredSeries>, paylo
             let (Some(key), Some(t), Some(v)) = (read_key(&mut r), r.f64(), r.f64()) else {
                 return;
             };
-            let s = state.entry(key).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
             // Observe records are only written for watermark-advancing
-            // points, so replaying them verbatim reproduces the live
-            // battery and watermark exactly.
-            s.battery.observe(v);
-            s.last_t = t;
+            // points, so the cursor's own advance rule takes every one.
+            state.entry(key).or_default().observe(t, v);
         }
         REC_REWIND => {
             let Some(key) = read_key(&mut r) else { return };
-            let s = state.entry(key).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
-            s.battery = ForecasterBattery::classic();
-            s.last_t = f64::NEG_INFINITY;
+            // The record carries no `latest`: against −∞ every observed
+            // watermark is behind, and a cold cursor is already rewound.
+            state.entry(key).or_default().rewind(f64::NEG_INFINITY);
         }
         _ => {}
-    }
-}
-
-impl std::fmt::Debug for RecoveredSeries {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveredSeries").field("last_t", &self.last_t).finish_non_exhaustive()
     }
 }
 
@@ -672,20 +652,16 @@ mod tests {
         let disk = SimDisk::new("h");
         let (state, mut log) = ForecastLog::recover(disk.clone(), "fc");
         assert!(state.is_empty());
-        let mut live: BTreeMap<SeriesKey, RecoveredSeries> = BTreeMap::new();
+        let mut live: BTreeMap<SeriesKey, SeriesCursor> = BTreeMap::new();
         let k = key(0);
         for i in 1..=60 {
             let (t, v) = (i as f64, 40.0 + (i % 7) as f64);
-            let s = live.entry(k.clone()).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
-            s.battery.observe(v);
-            s.last_t = t;
-            log.log_observe(&k, t, v);
+            if live.entry(k.clone()).or_default().observe(t, v) {
+                log.log_observe(&k, t, v);
+            }
             if i == 30 {
                 // Mid-stream compaction: snapshot + truncate.
-                log.compact(live.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
+                log.compact(&live);
             }
         }
         log.sync();
@@ -706,15 +682,21 @@ mod tests {
         let disk = SimDisk::new("h");
         let (_, mut log) = ForecastLog::recover(disk.clone(), "fc");
         let k = key(0);
+        let mut live = SeriesCursor::default();
         for i in 1..=5 {
+            assert!(live.observe(i as f64, 10.0));
             log.log_observe(&k, i as f64, 10.0);
         }
+        // The memory came back holding only up to t = 1.
+        assert!(live.rewind(1.0));
         log.log_rewind(&k);
-        log.log_observe(&k, 1.0, 11.0); // post-rewind re-fetch of older data
+        assert!(live.observe(1.0, 11.0)); // post-rewind re-fetch of older data
+        log.log_observe(&k, 1.0, 11.0);
         log.sync();
         let (state, _) = ForecastLog::recover(disk, "fc");
         let s = &state[&k];
         assert_eq!(s.last_t, 1.0);
         assert_eq!(s.battery.scores().3, 1, "battery restarted after rewind");
+        assert_eq!(s.battery.save_states(), live.battery.save_states());
     }
 }

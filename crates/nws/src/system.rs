@@ -10,7 +10,7 @@ use netsim::engine::{Ctx, Engine, Process, ProcessId, TimerId};
 use netsim::prelude::*;
 
 use crate::clique::{CliqueMembership, CliqueRetarget};
-use crate::forecast::{Forecast, ForecasterBattery};
+use crate::forecast::{Forecast, SeriesCursor};
 use crate::memory::{MemoryHandle, MemoryServer};
 use crate::msg::{NwsMsg, SeriesKey, ServerKind};
 use crate::persist::ForecastLog;
@@ -19,16 +19,14 @@ use crate::sensor::{FreeRun, HostSense, Sensor, SensorConfig};
 use crate::series::Series;
 use crate::supervisor::{SupervisorConfig, SupervisorHandle, SupervisorProc, SupervisorState};
 
-/// Persistent forecasting state for one series: the battery that has
-/// observed every point fetched so far, the newest observed timestamp
-/// (the delta-fetch watermark) and the memory server that stores the
-/// series (cached from the first directory lookup). The memory pid is
-/// `None` right after a recovery from disk — pids do not survive
-/// restarts, so a recovered series re-resolves its home through the
-/// name server on the next query.
+/// Persistent forecasting state for one series: its cursor (the battery
+/// that has observed every point fetched so far and the delta-fetch
+/// watermark) and the memory server that stores the series (cached from
+/// the first directory lookup). The memory pid is `None` right after a
+/// recovery from disk — pids do not survive restarts, so a recovered
+/// series re-resolves its home through the name server on the next query.
 struct SeriesState {
-    battery: ForecasterBattery,
-    last_t: f64,
+    cursor: SeriesCursor,
     memory: Option<ProcessId>,
 }
 
@@ -68,7 +66,7 @@ struct PendingBatch {
 /// running the battery and replying (step 4).
 ///
 /// The query path is incremental end to end: each series keeps a
-/// persistent [`SeriesState`], so a query fetches (`FetchSince`) and
+/// persistent [`SeriesCursor`], so a query fetches (`FetchSince`) and
 /// observes only the points newer than the watermark — O(Δ) work and
 /// wire bytes — instead of shipping the whole ring and replaying it
 /// through a fresh 20-predictor battery. Replaying the stored ring into a
@@ -142,7 +140,7 @@ impl ForecasterServer {
         let mut fc = ForecasterServer::new(name, ns);
         fc.state = recovered
             .into_iter()
-            .map(|(k, r)| (k, SeriesState { battery: r.battery, last_t: r.last_t, memory: None }))
+            .map(|(k, cursor)| (k, SeriesState { cursor, memory: None }))
             .collect();
         fc.log = Some(log);
         fc
@@ -177,7 +175,7 @@ impl ForecasterServer {
     fn send_fetch_since(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
         let st = &self.state[key];
         let Some(memory) = st.memory else { return };
-        let f = NwsMsg::FetchSince { key: key.clone(), after: st.last_t };
+        let f = NwsMsg::FetchSince { key: key.clone(), after: st.cursor.last_t };
         let size = f.wire_size();
         let _ = ctx.send(memory, size, f);
     }
@@ -283,8 +281,7 @@ impl Process<NwsMsg> for ForecasterServer {
                         .entry(key.clone())
                         .and_modify(|st| st.memory = Some(mem))
                         .or_insert_with(|| SeriesState {
-                            battery: ForecasterBattery::classic(),
-                            last_t: f64::NEG_INFINITY,
+                            cursor: SeriesCursor::default(),
                             memory: Some(mem),
                         });
                     self.send_fetch_since(ctx, &key);
@@ -314,44 +311,15 @@ impl Process<NwsMsg> for ForecasterServer {
                 }
             },
             NwsMsg::FetchReply { key, points, latest } => {
-                let rewound = {
-                    let st = self.state.entry(key.clone()).or_insert_with(|| SeriesState {
-                        battery: ForecasterBattery::classic(),
-                        last_t: f64::NEG_INFINITY,
-                        memory: Some(from),
-                    });
-                    st.memory = Some(from);
-                    if st.last_t > latest {
-                        // The memory holds *less* than we have already
-                        // observed: it was restored to an older state (a
-                        // crash lost the unsynced tail). Our battery has
-                        // consumed points the store no longer remembers, so
-                        // the delta-fetch watermark is a lie — rewind the
-                        // series (reset battery + watermark) and re-fetch
-                        // from scratch rather than silently serving
-                        // forecasts across the gap. Terminates: after the
-                        // reset, `last_t` can never again exceed `latest`.
-                        st.battery = ForecasterBattery::classic();
-                        st.last_t = f64::NEG_INFINITY;
-                        true
-                    } else {
-                        for (t, v) in points {
-                            // Guard the watermark even against a duplicate
-                            // or reordered reply: each point is observed
-                            // exactly once, and only watermark-advancing
-                            // points are logged (replay fidelity).
-                            if t > st.last_t {
-                                st.last_t = t;
-                                st.battery.observe(v);
-                                if let Some(log) = self.log.as_mut() {
-                                    log.log_observe(&key, t, v);
-                                }
-                            }
-                        }
-                        false
-                    }
-                };
-                if rewound {
+                let st = self.state.entry(key.clone()).or_insert_with(|| SeriesState {
+                    cursor: SeriesCursor::default(),
+                    memory: Some(from),
+                });
+                st.memory = Some(from);
+                // A memory behind our watermark was restored to an older
+                // state: rewind and re-fetch from scratch rather than
+                // silently forecasting across the gap.
+                if st.cursor.rewind(latest) {
                     self.rewinds += 1;
                     if let Some(log) = self.log.as_mut() {
                         log.log_rewind(&key);
@@ -362,13 +330,23 @@ impl Process<NwsMsg> for ForecasterServer {
                     self.send_fetch_since(ctx, &key);
                     return;
                 }
+                for (t, v) in points {
+                    // Only watermark-advancing points are observed and
+                    // logged, even from a duplicate or reordered reply
+                    // (replay fidelity).
+                    if st.cursor.observe(t, v) {
+                        if let Some(log) = self.log.as_mut() {
+                            log.log_observe(&key, t, v);
+                        }
+                    }
+                }
                 if let Some(log) = self.log.as_mut() {
                     log.sync();
                     if log.needs_compact() {
-                        log.compact(self.state.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
+                        log.compact(self.state.iter().map(|(k, s)| (k, &s.cursor)));
                     }
                 }
-                let forecast = self.state[&key].battery.forecast();
+                let forecast = self.state[&key].cursor.forecast();
                 self.clear_timeout(ctx, &key);
                 if let Some(w) = self.waiting.remove(&key) {
                     for c in w.waiters {
@@ -394,7 +372,7 @@ impl Process<NwsMsg> for ForecasterServer {
         // series' home through the directory: a memory restarted by the
         // supervisor re-registers under its new pid, so the lookup heals
         // the cached `SeriesState::memory` for the next query.
-        let stale = self.state.get(&key).and_then(|st| st.battery.forecast()).map(|mut f| {
+        let stale = self.state.get(&key).and_then(|st| st.cursor.forecast()).map(|mut f| {
             f.stale = true;
             f
         });

@@ -25,7 +25,7 @@ use netsim::engine::ProcessId;
 use nws::memory::MemoryStore;
 use nws::msg::{Resource, SeriesKey};
 use nws::persist::{ForecastLog, MemoryLog};
-use nws::ForecasterBattery;
+use nws::{ForecasterBattery, SeriesCursor};
 use proptest::prelude::*;
 
 const CAP: usize = 16;
@@ -231,7 +231,10 @@ proptest! {
         disk.borrow_mut().set_fault_seed(fault_seed);
         let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster");
         log.set_compact_threshold(512);
-        let mut shadow: std::collections::BTreeMap<SeriesKey, (ForecasterBattery, f64)> =
+        // The shadow drives its own batteries and watermarks field by field
+        // (never through the cursor's methods), so it stays an independent
+        // oracle; it holds them as cursors only to hand them to `compact`.
+        let mut shadow: std::collections::BTreeMap<SeriesKey, SeriesCursor> =
             std::collections::BTreeMap::new();
         let mut next_t = 0.0f64;
         for (op, arg) in ops {
@@ -241,23 +244,24 @@ proptest! {
                     let k = key(arg);
                     next_t += 1.0;
                     let v = 40.0 + f64::from(arg % 17);
-                    let s = shadow
-                        .entry(k.clone())
-                        .or_insert_with(|| (ForecasterBattery::classic(), f64::NEG_INFINITY));
-                    s.0.observe(v);
-                    s.1 = next_t;
+                    let s = shadow.entry(k.clone()).or_insert_with(|| SeriesCursor {
+                        battery: ForecasterBattery::classic(),
+                        last_t: f64::NEG_INFINITY,
+                    });
+                    s.battery.observe(v);
+                    s.last_t = next_t;
                     log.log_observe(&k, next_t, v);
                 }
                 7 => {
                     let k = key(arg);
                     if let Some(s) = shadow.get_mut(&k) {
-                        s.0 = ForecasterBattery::classic();
-                        s.1 = f64::NEG_INFINITY;
+                        s.battery = ForecasterBattery::classic();
+                        s.last_t = f64::NEG_INFINITY;
                         log.log_rewind(&k);
                     }
                 }
                 8 => {
-                    log.compact(shadow.iter().map(|(k, s)| (k, &s.0, s.1)));
+                    log.compact(&shadow);
                 }
                 9 => {
                     // Sync, then crash the host (the forecaster syncs once
@@ -271,8 +275,8 @@ proptest! {
                     prop_assert_eq!(rec.len(), shadow.len());
                     for (k, s) in &shadow {
                         let r = rec.get(k).expect("series survives");
-                        prop_assert_eq!(r.last_t.to_bits(), s.1.to_bits());
-                        prop_assert_eq!(battery_bits(&r.battery), battery_bits(&s.0));
+                        prop_assert_eq!(r.last_t.to_bits(), s.last_t.to_bits());
+                        prop_assert_eq!(battery_bits(&r.battery), battery_bits(&s.battery));
                     }
                 }
                 _ => unreachable!(),
