@@ -165,6 +165,9 @@ pub struct MemoryServer {
     /// Durable WAL + snapshot state, when the server owns a disk. `None`
     /// for volatile servers ([`MemoryServer::new`] / test seams).
     log: Option<MemoryLog>,
+    /// Series registered with the name server but not yet acked; re-sent
+    /// whenever the server answers a supervisor `Ping`.
+    unacked: BTreeSet<SeriesKey>,
 }
 
 impl MemoryServer {
@@ -173,10 +176,7 @@ impl MemoryServer {
     /// supervised deployments use [`MemoryServer::recover`].
     pub fn new(name: &str, ns: ProcessId, capacity: usize) -> (Self, MemoryHandle) {
         let store = Rc::new(RefCell::new(MemoryStore::default()));
-        (
-            MemoryServer { name: name.to_string(), ns, capacity, store: store.clone(), log: None },
-            store,
-        )
+        (MemoryServer::from_parts(name, ns, capacity, store.clone(), None), store)
     }
 
     /// **Test seam only.** Rebuild a volatile server around a store the
@@ -186,7 +186,7 @@ impl MemoryServer {
     /// [`MemoryServer::recover`]: a real restart has no surviving RAM to
     /// smuggle a [`MemoryHandle`] out of.
     pub fn with_store(name: &str, ns: ProcessId, capacity: usize, store: MemoryHandle) -> Self {
-        MemoryServer { name: name.to_string(), ns, capacity, store, log: None }
+        MemoryServer::from_parts(name, ns, capacity, store, None)
     }
 
     /// A durable memory server: rebuild the store from `disk` (snapshot +
@@ -206,16 +206,17 @@ impl MemoryServer {
     ) -> (Self, MemoryHandle) {
         let (store, log) = MemoryLog::recover(disk, "memory", capacity);
         let store = Rc::new(RefCell::new(store));
-        (
-            MemoryServer {
-                name: name.to_string(),
-                ns,
-                capacity,
-                store: store.clone(),
-                log: Some(log),
-            },
-            store,
-        )
+        (MemoryServer::from_parts(name, ns, capacity, store.clone(), Some(log)), store)
+    }
+
+    fn from_parts(
+        name: &str,
+        ns: ProcessId,
+        capacity: usize,
+        store: MemoryHandle,
+        log: Option<MemoryLog>,
+    ) -> Self {
+        MemoryServer { name: name.to_string(), ns, capacity, store, log, unacked: BTreeSet::new() }
     }
 
     /// Tune the durable WAL's compaction threshold (bytes). No-op on a
@@ -224,6 +225,18 @@ impl MemoryServer {
         if let Some(log) = &mut self.log {
             log.set_compact_threshold(bytes);
         }
+    }
+
+    /// Claim `keys` in the name server's directory, in one message; each
+    /// claim stays in `unacked` until the name server acks it.
+    fn register(&mut self, ctx: &mut Ctx<'_, NwsMsg>, keys: Vec<SeriesKey>) {
+        if keys.is_empty() {
+            return;
+        }
+        self.unacked.extend(keys.iter().cloned());
+        let reg = NwsMsg::RegisterSeries { keys, memory: ctx.me() };
+        let size = reg.wire_size();
+        let _ = ctx.send(self.ns, size, reg);
     }
 }
 
@@ -235,11 +248,7 @@ impl Process<NwsMsg> for MemoryServer {
         // Restarted under a fresh pid: re-claim every series read off disk
         // so directory lookups stop pointing at the dead predecessor.
         let keys: Vec<SeriesKey> = self.store.borrow().series.keys().cloned().collect();
-        for key in keys {
-            let reg = NwsMsg::RegisterSeries { key, memory: ctx.me() };
-            let size = reg.wire_size();
-            let _ = ctx.send(self.ns, size, reg);
-        }
+        self.register(ctx, keys);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
@@ -263,15 +272,22 @@ impl Process<NwsMsg> for MemoryServer {
                 let size = ack.wire_size();
                 let _ = ctx.send(from, size, ack);
                 if out.first_time && out.new_key {
-                    let reg = NwsMsg::RegisterSeries { key, memory: ctx.me() };
-                    let size = reg.wire_size();
-                    let _ = ctx.send(self.ns, size, reg);
+                    self.register(ctx, vec![key]);
                 }
             }
             NwsMsg::Ping => {
                 let pong = NwsMsg::Pong;
                 let size = pong.wire_size();
                 let _ = ctx.send(from, size, pong);
+                // The supervisor's heartbeat doubles as the retry clock
+                // for registrations the network may have dropped.
+                let keys: Vec<SeriesKey> = self.unacked.iter().cloned().collect();
+                self.register(ctx, keys);
+            }
+            NwsMsg::RegisterSeriesAck { keys } => {
+                for key in &keys {
+                    self.unacked.remove(key);
+                }
             }
             NwsMsg::FetchSince { key, after } => {
                 let (points, latest) = {

@@ -126,10 +126,19 @@ pub enum NwsMsg {
         name: String,
         kind: ServerKind,
     },
-    /// A series announces which memory server stores it.
+    /// A memory claims the series it stores: one key at a series' first
+    /// store, every recovered key in one message when a restarted memory
+    /// starts. The memory keeps the keys until the
+    /// [`NwsMsg::RegisterSeriesAck`] arrives and re-sends them each time it
+    /// answers a supervisor `Ping`, so a claim the network drops cannot
+    /// leave the directory naming a dead memory.
     RegisterSeries {
-        key: SeriesKey,
+        keys: Vec<SeriesKey>,
         memory: netsim::ProcessId,
+    },
+    /// The name server recorded the sender's `RegisterSeries` for `keys`.
+    RegisterSeriesAck {
+        keys: Vec<SeriesKey>,
     },
     /// Where is the memory in charge of `key`? (step 2)
     WhereIs {
@@ -249,7 +258,8 @@ impl NwsMsg {
     pub fn wire_size(&self) -> Bytes {
         let b = match self {
             NwsMsg::Register { name, .. } => 64 + name.len(),
-            NwsMsg::RegisterSeries { .. } => 128,
+            NwsMsg::RegisterSeries { keys, .. } => 64 + 64 * keys.len(),
+            NwsMsg::RegisterSeriesAck { keys } => 32 + 64 * keys.len(),
             NwsMsg::WhereIs { .. } | NwsMsg::WhereIsReply { .. } => 96,
             NwsMsg::Store { .. } => 72,
             NwsMsg::StoreAck { .. } => 24,

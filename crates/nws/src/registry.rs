@@ -45,10 +45,17 @@ impl Process<NwsMsg> for NameServer {
                 st.servers.insert(name, (kind, from));
                 st.registrations += 1;
             }
-            NwsMsg::RegisterSeries { key, memory } => {
-                let mut st = self.state.borrow_mut();
-                st.series.insert(key, memory);
-                st.registrations += 1;
+            NwsMsg::RegisterSeries { keys, memory } => {
+                {
+                    let mut st = self.state.borrow_mut();
+                    for key in &keys {
+                        st.series.insert(key.clone(), memory);
+                    }
+                    st.registrations += keys.len() as u64;
+                }
+                let ack = NwsMsg::RegisterSeriesAck { keys };
+                let size = ack.wire_size();
+                let _ = ctx.send(from, size, ack);
             }
             NwsMsg::WhereIs { key } => {
                 let memory = {
@@ -81,7 +88,7 @@ mod tests {
     impl Process<NwsMsg> for Prober {
         fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
             let key = SeriesKey::host(Resource::CpuLoad, "a.x");
-            let reg = NwsMsg::RegisterSeries { key: key.clone(), memory: ctx.me() };
+            let reg = NwsMsg::RegisterSeries { keys: vec![key.clone()], memory: ctx.me() };
             let size = reg.wire_size();
             ctx.send(self.ns, size, reg).unwrap();
             let q = NwsMsg::WhereIs { key };

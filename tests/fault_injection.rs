@@ -359,3 +359,61 @@ fn dead_memory_serves_stale_forecasts() {
         .expect("outage must degrade the answer, not erase it");
     assert!(stale.stale, "forecast served during an outage must be tagged stale");
 }
+
+/// Regression test for stale directory entries after a memory restart:
+/// the replacement claims its recovered series with `RegisterSeries`, and
+/// if the network drops those claims the name server keeps naming the
+/// dead pid, so queries for the series never reach live data. Here the
+/// name server's host is cut off across the heal. Once it is back, the
+/// memory's unacked claims ride on its next heartbeat replies: the
+/// directory names the live pid and a never-queried series answers
+/// fresh within a few supervisor periods.
+#[test]
+fn memory_restart_registrations_survive_a_dropped_claim() {
+    let net = star_hub(4, Bandwidth::mbps(100.0));
+    let names: Vec<String> =
+        net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
+    let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
+    let mut spec = NwsSystemSpec::minimal(&names[0], &refs);
+    spec.memory_hosts = vec![names[1].clone()];
+    spec.forecaster_host = names[1].clone();
+    let mut sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
+    let period = TimeDelta::from_secs(2.0);
+    let supervisor =
+        sys.attach_supervisor(&mut eng, SupervisorConfig { period, miss_threshold: 3 });
+    sys.run_supervised(&mut eng, TimeDelta::from_secs(90.0), period).unwrap();
+
+    let mem_host = names[1].clone();
+    let old_pid = sys.memories[&mem_host].0;
+    let keys: Vec<SeriesKey> = sys.memories[&mem_host].1.borrow().series.keys().cloned().collect();
+    assert!(!keys.is_empty(), "the memory must hold series before the crash");
+    sys.crash_memory(&mut eng, &mem_host);
+    while !supervisor.borrow().suspected.contains(&old_pid) {
+        let next = eng.now() + TimeDelta::from_secs(1.0);
+        eng.run_until(next);
+    }
+
+    // Heal while the name server's host is unreachable: every claim the
+    // replacement sends on start-up is lost.
+    apply_link_fault(&mut eng, &names[0], false);
+    assert_eq!(sys.heal(&mut eng).unwrap(), vec![mem_host.clone()]);
+    let new_pid = sys.memories[&mem_host].0;
+    assert_ne!(new_pid, old_pid);
+    let next = eng.now() + TimeDelta::from_secs(0.5);
+    eng.run_until(next);
+    apply_link_fault(&mut eng, &names[0], true);
+    assert!(
+        keys.iter().all(|k| sys.registry.borrow().series.get(k) == Some(&old_pid)),
+        "the dropped claims must leave the directory naming the dead pid"
+    );
+
+    sys.run_supervised(&mut eng, TimeDelta::from_secs(6.0), period).unwrap();
+    for key in &keys {
+        assert_eq!(sys.registry.borrow().series.get(key), Some(&new_pid), "{key}: stale entry");
+    }
+    let answer = sys
+        .query(&mut eng, keys[0].clone(), TimeDelta::from_secs(4.0))
+        .expect("the series' live memory answers");
+    assert!(!answer.stale, "the answer must come from the live memory");
+}
